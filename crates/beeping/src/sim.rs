@@ -230,6 +230,9 @@ pub struct Simulator<'g, P: BeepingProtocol> {
     /// for control flow, identical for a fixed execution regardless of
     /// telemetry, hooks or wall clock.
     work: WorkCounters,
+    /// Bumped by every edge or participation mutation and by
+    /// [`Simulator::restore`]; see [`Simulator::topology_version`].
+    topology_version: u64,
     /// Observational only: phase timers and engine counters. Never consulted
     /// for control flow and never draws randomness, so a disabled handle
     /// (the default) and an enabled one produce bit-identical executions —
@@ -433,6 +436,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             frontier: FrontierState::default(),
             par: None,
             work: WorkCounters::default(),
+            topology_version: 0,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -482,6 +486,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             frontier: FrontierState::default(),
             par: None,
             work: WorkCounters::default(),
+            topology_version: 0,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -673,6 +678,18 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         self.round
     }
 
+    /// A counter that changes whenever the topology or the participation
+    /// bitmap may have changed: [`Simulator::insert_edge`],
+    /// [`Simulator::remove_edge`] and [`Simulator::apply_edge_diff`] bump it
+    /// when an edge actually flips, [`Simulator::node_leave`],
+    /// [`Simulator::node_join`] and [`Simulator::restore`] always. Rounds and
+    /// state corruptions leave it alone. Observers that cache per-node
+    /// neighborhood data (such as `mis::detector::StabilityTracker`) rebuild
+    /// when it differs from the value they last saw.
+    pub fn topology_version(&self) -> u64 {
+        self.topology_version
+    }
+
     /// Current node states (the RAM), indexed by node id.
     pub fn states(&self) -> &[P::State] {
         &self.states
@@ -729,6 +746,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
                     self.frontier_unsettle(u);
                     self.frontier_unsettle(v);
                     self.par = None; // degrees changed: replan worker ranges
+                    self.topology_version += 1;
                 }
                 Ok(inserted)
             }
@@ -753,6 +771,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             self.frontier_unsettle(u);
             self.frontier_unsettle(v);
             self.par = None; // degrees changed: replan worker ranges
+            self.topology_version += 1;
         }
         Ok(removed)
     }
@@ -792,6 +811,9 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
                     self.frontier_unsettle(v);
                 }
                 self.par = None; // degrees changed: replan worker ranges
+                if counts != (0, 0) {
+                    self.topology_version += 1;
+                }
                 Ok(counts)
             }
             // Both graph-level failure modes are pre-checked above; map
@@ -843,6 +865,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             self.frontier_set_heard(v, BeepSignal::silent());
         }
         let removed = self.graph.to_mut().isolate_node(v);
+        self.topology_version += 1;
         if self.active[v] {
             self.active[v] = false;
             self.active_bits[v >> 6] &= !(1u64 << (v & 63));
@@ -903,6 +926,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             // conditions that validation already excluded.
             let _ = graph.insert_edge(v, u);
         }
+        self.topology_version += 1;
         if !self.active[v] {
             self.active[v] = true;
             self.active_bits[v >> 6] |= 1u64 << (v & 63);
@@ -2009,6 +2033,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             }
         }
         self.par = None; // topology may differ: replan worker ranges
+        self.topology_version += 1;
         self.channel_state = checkpoint.channel_state;
         self.channel_rng = checkpoint.channel_rng.clone();
         self.byz_rng = checkpoint.byz_rng.clone();
@@ -2655,6 +2680,41 @@ mod tests {
         assert_eq!(sim.last_sent(), &sent[..]);
         assert_eq!(sim.last_heard(), &heard[..]);
         assert_eq!(sim.active(), &active[..]);
+    }
+
+    #[test]
+    fn topology_version_tracks_edge_and_participation_mutations() {
+        let g = classic::path(4); // 0 - 1 - 2 - 3
+        let mut sim = Simulator::new(&g, Parity, vec![0; 4], 0);
+        let cp = sim.checkpoint();
+        let mut seen = sim.topology_version();
+        let mut bumped = |sim: &Simulator<'_, Parity>, what: &str| {
+            let now = sim.topology_version();
+            assert_ne!(now, seen, "{what} must bump the topology version");
+            seen = now;
+        };
+        assert_eq!(sim.insert_edge(0, 2), Ok(true));
+        bumped(&sim, "insert_edge");
+        assert_eq!(sim.remove_edge(0, 2), Ok(true));
+        bumped(&sim, "remove_edge");
+        assert_eq!(sim.apply_edge_diff(&[(0, 3)], &[(1, 2)]), Ok((1, 1)));
+        bumped(&sim, "apply_edge_diff");
+        sim.node_leave(3).unwrap();
+        bumped(&sim, "node_leave");
+        sim.node_join(3, &[2], 1).unwrap();
+        bumped(&sim, "node_join");
+        sim.restore(&cp).unwrap();
+        bumped(&sim, "restore");
+
+        // Rounds, corruptions and no-op edge updates leave it alone.
+        let stable = sim.topology_version();
+        sim.step();
+        sim.corrupt_state(1, 7);
+        sim.corrupt_all(|_, s| *s += 1);
+        assert_eq!(sim.insert_edge(0, 1), Ok(false));
+        assert_eq!(sim.remove_edge(0, 2), Ok(false));
+        assert_eq!(sim.apply_edge_diff(&[(0, 1)], &[(0, 3)]), Ok((0, 0)));
+        assert_eq!(sim.topology_version(), stable);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! quantities the proofs bound. [`runner`] is the high-level "run until
 //! stabilized" API used by examples, tests, benches and experiments, and
 //! [`recovery`] extends it to unreliable networks: channel noise, jammers
-//! and topology churn with per-event re-stabilization tracking.
+//! and topology churn with per-event re-stabilization tracking. Their stop
+//! checks and per-round observables come from [`detector`], which keeps
+//! `I_t`/`S_t` counts incrementally instead of rescanning every round.
 //! [`containment`] certifies that permanently Byzantine nodes disrupt only
 //! a bounded radius around themselves, and [`adversary`] hill-climbs over
 //! Byzantine placements and initial configurations for worst cases;
@@ -54,6 +56,7 @@ pub mod adversary;
 pub mod algorithm1;
 pub mod algorithm2;
 pub mod containment;
+pub mod detector;
 pub mod dynamics;
 pub mod invariant;
 pub mod levels;
@@ -69,6 +72,7 @@ pub use adversary::{AdversaryConfig, SearchBehavior, WorstCase};
 pub use algorithm1::Algorithm1;
 pub use algorithm2::Algorithm2;
 pub use containment::{ContainmentConfig, ContainmentOutcome, ContainmentSample};
+pub use detector::{Stability, StabilityTracker};
 pub use invariant::{InvariantChecker, LevelSpace};
 pub use policy::LmaxPolicy;
 pub use recovery::{NoisyOutcome, NoisyRunConfig};

@@ -252,9 +252,11 @@ fn close_under_neighbors(graph: &Graph, in_set: &[bool]) -> Vec<bool> {
 }
 
 /// `S_t = V` for Algorithm 1 — the stabilization criterion used everywhere.
+/// A full O(n + m) scan that allocates the `I_t` bitmap; run loops use the
+/// incremental [`crate::detector::StabilityTracker`] and keep this as the
+/// oracle.
 pub fn is_stabilized(graph: &Graph, lmax: &[Level], levels: &[Level]) -> bool {
-    // Direct check without allocating: every vertex is in I_t or has an
-    // I_t neighbor.
+    // Every vertex is in I_t or has an I_t neighbor.
     let in_mis = stable_mis(graph, lmax, levels);
     graph.nodes().all(|v| in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
 }
