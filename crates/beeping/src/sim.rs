@@ -407,38 +407,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         initial_states: Vec<P::State>,
         seed: u64,
     ) -> Simulator<'g, P> {
-        assert_eq!(initial_states.len(), graph.len(), "one initial state per node is required");
-        let n = graph.len();
-        Simulator {
-            graph: Cow::Borrowed(graph),
-            protocol,
-            states: initial_states,
-            rngs: rng::node_rngs(seed, n),
-            round: 0,
-            sent: vec![BeepSignal::silent(); n],
-            heard: vec![BeepSignal::silent(); n],
-            duplex: DuplexMode::Full,
-            channel: ChannelFault::reliable(),
-            channel_state: ChannelState::default(),
-            channel_rng: rng::aux_rng(seed, CHANNEL_RNG_PURPOSE),
-            byzantine: ByzantinePlan::new(),
-            byz: vec![None; n],
-            byz_rng: rng::aux_rng(seed, BYZ_RNG_PURPOSE),
-            active: vec![true; n],
-            active_bits: full_active_bits(n),
-            inactive: 0,
-            engine: EngineMode::default(),
-            scatter_heard1: Vec::new(),
-            scatter_heard2: Vec::new(),
-            scatter_sent1: Vec::new(),
-            scatter_sent2: Vec::new(),
-            hook: InvariantHook(None),
-            frontier: FrontierState::default(),
-            par: None,
-            work: WorkCounters::default(),
-            topology_version: 0,
-            telemetry: Telemetry::disabled(),
-        }
+        Simulator::from_graph(Cow::Borrowed(graph), protocol, initial_states, seed)
     }
 
     /// Like [`Simulator::new`] but takes ownership of the graph, producing
@@ -457,10 +426,21 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         initial_states: Vec<P::State>,
         seed: u64,
     ) -> Simulator<'static, P> {
+        Simulator::from_graph(Cow::Owned(graph), protocol, initial_states, seed)
+    }
+
+    /// The one constructor behind [`Simulator::new`] and
+    /// [`Simulator::new_owned`].
+    fn from_graph(
+        graph: Cow<'g, Graph>,
+        protocol: P,
+        initial_states: Vec<P::State>,
+        seed: u64,
+    ) -> Simulator<'g, P> {
         assert_eq!(initial_states.len(), graph.len(), "one initial state per node is required");
         let n = graph.len();
         Simulator {
-            graph: Cow::Owned(graph),
+            graph,
             protocol,
             states: initial_states,
             rngs: rng::node_rngs(seed, n),

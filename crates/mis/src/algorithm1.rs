@@ -95,7 +95,7 @@ impl Algorithm1 {
     /// Returns [`StabilizationError`] if the round budget is exhausted
     /// before `S_t = V`.
     pub fn run(&self, graph: &Graph, config: RunConfig) -> Result<Outcome, StabilizationError> {
-        runner::run_algorithm1(graph, self, config)
+        runner::run(graph, self, config)
     }
 }
 

@@ -90,7 +90,7 @@ impl Algorithm2 {
     /// Returns [`StabilizationError`] if the round budget is exhausted
     /// before stabilization.
     pub fn run(&self, graph: &Graph, config: RunConfig) -> Result<Outcome, StabilizationError> {
-        runner::run_algorithm2(graph, self, config)
+        runner::run(graph, self, config)
     }
 }
 

@@ -1,9 +1,11 @@
 //! Runtime invariant checking: the paper's state-space and activation-
 //! function invariants, enforced on every round in debug builds.
 //!
-//! [`crate::runner::run`] installs an [`InvariantChecker`] into
-//! [`beeping::Simulator`]'s per-round hook when `debug_assertions` are on,
-//! so every debug-mode test and experiment continuously validates:
+//! The round loop ([`crate::resumable::ResumableRun`], which every run
+//! entry point drives) installs an [`InvariantChecker`] into
+//! [`beeping::Simulator`]'s per-round hook when `debug_assertions` are on
+//! and the run has no Byzantine nodes, so every debug-mode test and
+//! experiment continuously validates:
 //!
 //! 1. **ℓ-range** — every level stays inside the algorithm's state space
 //!    (`{-ℓmax, …, ℓmax}` for Algorithm 1, `{0, …, ℓmax}` for Algorithm 2);
@@ -56,7 +58,7 @@ pub fn debug_assert_level_in_range(level: Level, lmax: Level, space: LevelSpace)
     );
 }
 
-/// Per-round checker of the paper's invariants; installed by the runner via
+/// Per-round checker of the paper's invariants; installed by the round loop via
 /// [`beeping::Simulator::set_invariant_hook`] in debug builds.
 #[derive(Debug, Clone)]
 pub struct InvariantChecker {

@@ -25,11 +25,13 @@
 //! `I_t`/`S_t`, prominent vertices, platinum and golden rounds, and the
 //! potentials `d_t`, `η_t`, `η′_t` — so experiments can measure exactly the
 //! quantities the proofs bound. [`runner`] is the high-level "run until
-//! stabilized" API used by examples, tests, benches and experiments, and
+//! stabilized" API used by examples, tests and experiments, and
 //! [`recovery`] extends it to unreliable networks: channel noise, jammers
-//! and topology churn with per-event re-stabilization tracking. Their stop
-//! checks and per-round observables come from [`detector`], which keeps
-//! `I_t`/`S_t` counts incrementally instead of rescanning every round.
+//! and topology churn with per-event re-stabilization tracking. Both are
+//! drivers of one round loop, [`resumable::ResumableRun`], which also backs
+//! the checkpointing harness. Its stop check and per-round observables come
+//! from [`detector`], which keeps `I_t`/`S_t` counts incrementally instead
+//! of rescanning every round.
 //! [`containment`] certifies that permanently Byzantine nodes disrupt only
 //! a bounded radius around themselves, and [`adversary`] hill-climbs over
 //! Byzantine placements and initial configurations for worst cases;

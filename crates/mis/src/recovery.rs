@@ -15,7 +15,9 @@
 //! fully active, un-churned graph they coincide exactly with
 //! [`crate::observer`]'s definitions. They are full O(n + m) scans and serve
 //! as the oracle; [`run_noisy`] observes through the incremental
-//! [`crate::detector::StabilityTracker`] instead.
+//! [`crate::detector::StabilityTracker`] instead. [`run_noisy`] drives the
+//! round loop of [`crate::resumable::ResumableRun`] and adds the
+//! per-segment accounting on top of it.
 //!
 //! A structural invariant worth stating (and guarded by a property test):
 //! a configuration with a live independence violation — two adjacent active
@@ -27,18 +29,14 @@
 use beeping::channel::ChannelFault;
 use beeping::churn::{ChurnAction, ChurnPlan};
 use beeping::faults::FaultPlan;
-use beeping::rng::aux_rng;
-use beeping::{EngineMode, Simulator};
+use beeping::EngineMode;
 use graphs::Graph;
-use rand_pcg::Pcg64Mcg;
-use telemetry::{Event, Marker, MarkerKind, Telemetry};
+use telemetry::Telemetry;
 
-use crate::detector::StabilityTracker;
+use crate::detector::Stability;
 use crate::levels::Level;
-use crate::runner::{
-    corrupt_targets, emit_round, initial_levels, random_level, InitialLevels, RunConfig,
-    SelfStabilizingMis, FAULT_RNG_PURPOSE,
-};
+use crate::resumable::{Recorder, ResumableConfig, ResumableRun, RunStatus};
+use crate::runner::{InitialLevels, SelfStabilizingMis};
 
 /// `I_t` restricted to the active subgraph: node `v` is a stable MIS member
 /// iff it is active, sits at its claiming level, and every *active* neighbor
@@ -368,32 +366,6 @@ impl SegmentTracker {
     }
 }
 
-/// Applies one churn action to the simulator. A joining node boots with an
-/// adversarially random level drawn from the fault stream.
-///
-/// The plan is validated against the graph before the round loop starts, so
-/// application is infallible here; a failure means the simulator and the
-/// validator disagree, which is a bug worth a loud stop.
-pub(crate) fn apply_churn<A: SelfStabilizingMis>(
-    sim: &mut Simulator<'_, A>,
-    algo: &A,
-    action: &ChurnAction,
-    fault_rng: &mut Pcg64Mcg,
-) {
-    let applied = match action {
-        ChurnAction::AddEdge(u, v) => sim.insert_edge(*u, *v).map(|_| ()),
-        ChurnAction::RemoveEdge(u, v) => sim.remove_edge(*u, *v).map(|_| ()),
-        ChurnAction::NodeLeave(v) => sim.node_leave(*v).map(|_| ()),
-        ChurnAction::NodeJoin(v, neighbors) => {
-            let boot = random_level(algo, *v, fault_rng);
-            sim.node_join(*v, neighbors, boot)
-        }
-    };
-    if let Err(e) = applied {
-        panic!("validated churn plan failed to apply: {e}");
-    }
-}
-
 /// Runs `algo` on `graph` under the full adversary — channel noise, RAM
 /// faults and topology churn — segmenting the execution at every event.
 ///
@@ -409,6 +381,10 @@ pub(crate) fn apply_churn<A: SelfStabilizingMis>(
 /// when a segment exhausts `config.max_rounds` without re-stabilizing
 /// ([`SegmentOutcome::Diverged`]; remaining scheduled events are not
 /// applied).
+///
+/// Telemetry has the round loop's forms: the `RunStart` label is `"noisy"`,
+/// a churn marker's detail is `"churn"`, and `RunEnd.stabilization_round`
+/// counts from the last scheduled event.
 ///
 /// With a reliable channel and an empty churn plan, a single fault
 /// scheduled at the run's first stabilization round reproduces
@@ -427,143 +403,60 @@ pub fn run_noisy<A: SelfStabilizingMis>(
     algo: &A,
     config: &NoisyRunConfig,
 ) -> NoisyOutcome {
-    if let Err(e) = config.churn.validate(graph.len()) {
-        panic!("invalid churn plan: {e}");
-    }
-    if let Err(e) = config.faults.validate(graph.len()) {
-        panic!("invalid fault plan: {e}");
-    }
-    let run_config = RunConfig::new(config.seed).with_init(config.init.clone());
-    let levels = initial_levels(algo, &run_config);
-    let tele = config.telemetry.clone();
-    let mut sim = Simulator::new(graph, algo.clone(), levels, config.seed)
+    // The per-segment budget below ends the run; the total one never does.
+    let resumable = ResumableConfig::new(config.seed)
+        .with_max_rounds(u64::MAX)
+        .with_init(config.init.clone())
+        .with_faults(config.faults.clone())
+        .with_churn(config.churn.clone())
         .with_channel(config.channel.clone())
         .with_engine(config.engine)
-        .with_telemetry(tele.clone());
-    let mut fault_rng = aux_rng(config.seed, FAULT_RNG_PURPOSE);
-    if tele.is_enabled() {
-        tele.record(Event::RunStart {
-            label: "noisy".into(),
-            n: graph.len() as u64,
-            seed: config.seed,
-        });
-    }
-
-    let last_event_round = config
-        .faults
-        .last_fault_round()
-        .unwrap_or(0)
-        .max(config.churn.last_event_round().unwrap_or(0));
-
-    let mut events: Vec<EventRecovery> = Vec::new();
-    let mut tracker = SegmentTracker::new(Disturbance::Initial, 0);
-    // Rounds whose scheduled events have already been applied (events fire
-    // once even though the same round is re-observed after application).
-    let mut applied_through: Option<u64> = None;
-
-    let mut detector = StabilityTracker::new();
-    // The observation the round event was built from, reused at the top of
-    // the loop when no event has touched the simulator since the step.
-    let mut after_step = None;
-    let (stabilized, mis, active, total_rounds) = loop {
-        let r = sim.round();
-        let observed = match after_step.take() {
-            Some(observed) => observed,
-            None => detector.observe(algo, &sim),
-        };
-        let stab = observed.is_stabilized();
-        tracker.observe(r, stab, observed.violations);
-
-        let events_pending = applied_through != Some(r)
-            && (config.faults.events_after_round(r).next().is_some()
-                || config.churn.events_after_round(r).next().is_some());
-        if events_pending {
-            for fault in config.faults.events_after_round(r) {
-                let corrupted = corrupt_targets(&mut sim, algo, &fault.target, &mut fault_rng);
-                if tele.is_enabled() {
-                    tele.record(Event::Marker(Marker {
-                        round: r,
-                        kind: MarkerKind::Fault,
-                        detail: "corrupt".into(),
-                        magnitude: corrupted as u64,
-                    }));
-                }
-                events.push(
-                    std::mem::replace(
-                        &mut tracker,
-                        SegmentTracker::new(Disturbance::TransientFault { corrupted }, r),
-                    )
-                    .close(r, false),
-                );
-            }
-            let churn_actions: Vec<ChurnAction> =
-                config.churn.events_after_round(r).map(|e| e.action.clone()).collect();
-            for action in churn_actions {
-                apply_churn(&mut sim, algo, &action, &mut fault_rng);
-                if tele.is_enabled() {
-                    tele.record(Event::Marker(Marker {
-                        round: r,
-                        kind: MarkerKind::Churn,
-                        detail: churn_detail(&action).into(),
-                        magnitude: 1,
-                    }));
-                }
-                events.push(
-                    std::mem::replace(
-                        &mut tracker,
-                        SegmentTracker::new(Disturbance::Churn(action), r),
-                    )
-                    .close(r, false),
-                );
-            }
-            applied_through = Some(r);
-            continue; // observe the post-event configuration as the new start
-        }
-
-        if stab && r >= last_event_round {
-            events.push(tracker.close(r, false));
-            break (
-                true,
-                claimed_mis(algo, sim.graph(), sim.states(), sim.active()),
-                sim.active().to_vec(),
-                r,
-            );
-        }
-        if r - tracker.start_round >= config.max_rounds {
-            events.push(tracker.close(r, true));
-            break (
-                false,
-                claimed_mis(algo, sim.graph(), sim.states(), sim.active()),
-                sim.active().to_vec(),
-                r,
-            );
-        }
-        let report = sim.step();
-        if tele.is_enabled() {
-            let observed = detector.observe(algo, &sim);
-            emit_round(&tele, &sim, &report, observed);
-            after_step = Some(observed);
-        }
+        .with_telemetry(config.telemetry.clone());
+    let mut run =
+        ResumableRun::with_label(graph, algo, resumable, "noisy").unwrap_or_else(|e| panic!("{e}"));
+    let mut segments = Segments {
+        events: Vec::new(),
+        current: SegmentTracker::new(Disturbance::Initial, 0),
+        budget: config.max_rounds,
     };
-
-    if tele.is_enabled() {
-        tele.record(Event::RunEnd {
-            rounds: total_rounds,
-            stabilized,
-            stabilization_round: stabilized.then_some(total_rounds),
-        });
-        tele.finish();
+    while run.tick_with(&mut segments) == RunStatus::Running {}
+    let stabilized = run.status() == RunStatus::Stabilized;
+    let total_rounds = run.round();
+    let mut events = segments.events;
+    events.push(segments.current.close(total_rounds, !stabilized));
+    NoisyOutcome {
+        events,
+        total_rounds,
+        stabilized,
+        mis: claimed_mis(algo, run.graph(), run.levels(), run.active()),
+        active: run.active().to_vec(),
     }
-    NoisyOutcome { events, total_rounds, stabilized, mis, active }
 }
 
-/// Stable lowercase name of a churn action for telemetry markers.
-fn churn_detail(action: &ChurnAction) -> &'static str {
-    match action {
-        ChurnAction::AddEdge(..) => "add_edge",
-        ChurnAction::RemoveEdge(..) => "remove_edge",
-        ChurnAction::NodeLeave(..) => "node_leave",
-        ChurnAction::NodeJoin(..) => "node_join",
+/// [`run_noisy`]'s recorder: every observation is accounted to the open
+/// segment, each applied event closes it and opens the next, and a segment
+/// that outlives `budget` rounds ends the run.
+struct Segments {
+    events: Vec<EventRecovery>,
+    current: SegmentTracker,
+    budget: u64,
+}
+
+impl Recorder for Segments {
+    const EVERY_ROUND: bool = true;
+
+    fn before_events(&mut self, round: u64, stability: Stability) {
+        self.current.observe(round, stability.is_stabilized(), stability.violations);
+    }
+
+    fn event(&mut self, round: u64, disturbance: Disturbance) {
+        let next = SegmentTracker::new(disturbance, round);
+        self.events.push(std::mem::replace(&mut self.current, next).close(round, false));
+    }
+
+    fn observed(&mut self, round: u64, stability: Stability) -> bool {
+        self.current.observe(round, stability.is_stabilized(), stability.violations);
+        round - self.current.start_round >= self.budget
     }
 }
 

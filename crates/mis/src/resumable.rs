@@ -1,36 +1,38 @@
-//! A steppable, checkpointable run driver — the crash-safe core of the
-//! resilient harness (`crates/harness`).
+//! The round loop of every run entry point, as a steppable, checkpointable
+//! state machine — also the crash-safe core of the resilient harness
+//! (`crates/harness`).
 //!
-//! [`crate::runner::run`] and [`crate::recovery::run_noisy`] execute a whole
-//! run inside one function call, so a crash (or a supervisor-imposed budget)
-//! loses everything. [`ResumableRun`] is the same execution *inverted into a
-//! state machine*: one [`ResumableRun::tick`] per round boundary, with a
-//! [`RunCheckpoint`] capturable between any two ticks that contains every
-//! bit of mutable run state — simulator checkpoint (states, per-stream RNG
+//! [`ResumableRun`] executes one round boundary per [`ResumableRun::tick`].
+//! A [`RunCheckpoint`] capturable between any two ticks contains every bit
+//! of mutable run state — simulator checkpoint (states, per-stream RNG
 //! positions, churned topology, participation bitmap, channel window), the
 //! fault-stream RNG, the event-application cursor and the accumulated
 //! trace. Resuming from a checkpoint and running to completion is
 //! bit-identical to never having stopped (pinned by tests here and by the
 //! crash-injection proptests in `crates/harness`).
 //!
-//! The round-boundary semantics mirror [`crate::runner::run`] exactly: at
-//! boundary `r`, scheduled faults are applied first (in schedule order),
-//! then scheduled churn, then — for a moving deployment
+//! [`crate::runner::run`], [`crate::runner::run_recovery`] and
+//! [`crate::recovery::run_noisy`] are short drivers of this loop. Each
+//! plugs a crate-private per-round recorder into the tick for what only it
+//! reports (the level history, the per-segment recovery accounting and
+//! budget), so simulator construction, event application, the stop check
+//! and telemetry emission exist once.
+//!
+//! At boundary `r`, scheduled faults are applied first (in schedule
+//! order), then scheduled churn, then — for a moving deployment
 //! ([`ResumableConfig::with_motion`]) — one mobility step reconciled into
 //! the simulator as a batched edge diff; stabilization is then judged
 //! (active-aware, on the live topology) and only counts once `r` has passed
 //! the last scheduled event; the budget is a *total* round budget. Under
 //! sustained motion the topology never quiesces, so "stabilized" means the
 //! current configuration is a valid MIS *on the current graph* — the
-//! instantaneous condition the MOB experiment measures. For a fault-only
-//! plan on a static graph the outcome, trace and final levels equal
-//! [`crate::runner::run`]'s field for field.
+//! instantaneous condition the MOB experiment measures.
 
 use beeping::byzantine::ByzantinePlan;
 use beeping::channel::ChannelFault;
 use beeping::churn::{ChurnAction, ChurnPlan};
 use beeping::dynamic::{DynamicTopology, MotionSpec, MotionState};
-use beeping::faults::FaultPlan;
+use beeping::faults::{FaultPlan, FaultTarget, TransientFault};
 use beeping::rng::aux_rng;
 use beeping::trace::Trace;
 use beeping::{
@@ -41,12 +43,16 @@ use rand_pcg::Pcg64Mcg;
 use telemetry::{Event, Marker, MarkerKind, Telemetry};
 
 use crate::detector::{Stability, StabilityTracker};
+use crate::invariant::InvariantChecker;
 use crate::levels::Level;
-use crate::recovery::{apply_churn, claimed_mis};
+use crate::recovery::{claimed_mis, Disturbance};
 use crate::runner::{
-    corrupt_targets, emit_round, initial_levels, InitialLevels, RunConfig, SelfStabilizingMis,
-    FAULT_RNG_PURPOSE,
+    emit_round_event, initial_levels, random_level, InitialLevels, RunConfig, SelfStabilizingMis,
 };
+
+/// Purpose tag of the fault-injection RNG stream (see
+/// [`beeping::rng::aux_rng`]), shared by corruptions and churn boot levels.
+const FAULT_RNG_PURPOSE: u64 = 0xFA17;
 
 /// Why a run configuration is invalid for its graph. The constructors check
 /// every plan up front so the tick loop applies events infallibly — the
@@ -306,10 +312,38 @@ pub struct RunCheckpoint {
     pub motion: Option<MotionState>,
 }
 
+/// What a driver of [`ResumableRun`] records beyond the run's own outputs:
+/// one hook per step of [`ResumableRun::tick_with`]. Every hook defaults to
+/// doing nothing, and `()` is the recorder of a plain
+/// [`ResumableRun::tick`].
+pub(crate) trait Recorder {
+    /// Observe every round boundary, and also before a boundary's
+    /// fault/churn events. Without it the run observes only from the last
+    /// scheduled event on, where the stop check needs it.
+    const EVERY_ROUND: bool = false;
+
+    /// The configuration at `round` before its fault/churn events; called
+    /// only with [`Recorder::EVERY_ROUND`].
+    fn before_events(&mut self, _round: u64, _stability: Stability) {}
+
+    /// One applied fault or churn event, in application order.
+    fn event(&mut self, _round: u64, _disturbance: Disturbance) {}
+
+    /// The observation the stop check judges at `round`. Returning `true`
+    /// ends the run as [`RunStatus::BudgetExhausted`] unless it stabilized.
+    fn observed(&mut self, _round: u64, _stability: Stability) -> bool {
+        false
+    }
+
+    /// The simulator right after it executed a round.
+    fn stepped<A: SelfStabilizingMis>(&mut self, _sim: &Simulator<'_, A>) {}
+}
+
+impl Recorder for () {}
+
 /// A stabilization run inverted into a state machine; see the module docs.
-pub struct ResumableRun<A: SelfStabilizingMis> {
-    sim: Simulator<'static, A>,
-    algo: A,
+pub struct ResumableRun<'g, A: SelfStabilizingMis> {
+    sim: Simulator<'g, A>,
     config: ResumableConfig,
     fault_rng: Pcg64Mcg,
     motion: Option<DynamicTopology>,
@@ -328,8 +362,10 @@ pub struct ResumableRun<A: SelfStabilizingMis> {
     crash_before_round: Option<u64>,
 }
 
-impl<A: SelfStabilizingMis> ResumableRun<A> {
-    /// Starts a fresh run of `algo` on `graph` under `config`.
+impl<'g, A: SelfStabilizingMis> ResumableRun<'g, A> {
+    /// Starts a fresh run of `algo` on `graph` under `config`. The run
+    /// borrows `graph`; the simulator copies it only when a churn or motion
+    /// event first changes the topology.
     ///
     /// # Errors
     ///
@@ -337,11 +373,22 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
     /// is invalid for this graph, so the tick loop never panics on event
     /// application.
     pub fn new(
-        graph: &Graph,
+        graph: &'g Graph,
         algo: &A,
         config: ResumableConfig,
-    ) -> Result<ResumableRun<A>, PlanError> {
-        Self::validate_plans(&config, algo, graph.len())?;
+    ) -> Result<ResumableRun<'g, A>, PlanError> {
+        ResumableRun::with_label(graph, algo, config, "resumable")
+    }
+
+    /// [`ResumableRun::new`] with the `RunStart` telemetry label of the
+    /// calling entry point.
+    pub(crate) fn with_label(
+        graph: &'g Graph,
+        algo: &A,
+        config: ResumableConfig,
+        label: &str,
+    ) -> Result<ResumableRun<'g, A>, PlanError> {
+        validate_plans(&config, algo, graph.len())?;
         let motion = match &config.motion {
             Some(spec) => {
                 let dt = DynamicTopology::new(graph.len(), spec, config.seed)
@@ -359,113 +406,59 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
         };
         let run_config = RunConfig::new(config.seed).with_init(config.init.clone());
         let levels = initial_levels(algo, &run_config);
-        let sim = Self::build_sim(graph.clone(), algo, &config, levels);
-        if config.telemetry.is_enabled() {
-            config.telemetry.record(Event::RunStart {
-                label: "resumable".into(),
+        let sim = Simulator::new(graph, algo.clone(), levels, config.seed);
+        let fault_rng = aux_rng(config.seed, FAULT_RNG_PURPOSE);
+        let run = ResumableRun::assemble(sim, config, fault_rng, motion, Trace::new(), None);
+        let tele = &run.config.telemetry;
+        if tele.is_enabled() {
+            tele.record(Event::RunStart {
+                label: label.into(),
                 n: graph.len() as u64,
-                seed: config.seed,
+                seed: run.config.seed,
             });
         }
-        Ok(ResumableRun {
-            sim,
-            algo: algo.clone(),
-            fault_rng: aux_rng(config.seed, FAULT_RNG_PURPOSE),
-            motion,
-            trace: Trace::new(),
-            detector: StabilityTracker::new(),
-            after_step: None,
-            last_event_round: Self::last_event_round(&config),
-            applied_through: None,
-            status: RunStatus::Running,
-            crash_before_round: None,
-            config,
-        })
+        Ok(run)
     }
 
-    /// Rebuilds a run at the exact point `checkpoint` was captured. The
-    /// caller supplies the same `algo` and `config` the original run used
-    /// (the harness snapshot layer enforces this with a fingerprint);
-    /// continuing is then bit-identical to never having stopped.
-    ///
-    /// # Errors
-    ///
-    /// [`ResumeError::Plan`] if the configuration is invalid for the
-    /// checkpointed graph, [`ResumeError::Restore`] if the checkpoint's own
-    /// vectors are inconsistent (a corrupted or hand-built snapshot).
-    pub fn resume(
-        algo: &A,
+    /// Finishes a simulator from the configuration and wraps the run state
+    /// around it.
+    fn assemble(
+        sim: Simulator<'g, A>,
         config: ResumableConfig,
-        checkpoint: &RunCheckpoint,
-    ) -> Result<ResumableRun<A>, ResumeError> {
-        let n = checkpoint.sim.graph().len();
-        Self::validate_plans(&config, algo, n)?;
-        let motion =
-            match (&config.motion, &checkpoint.motion) {
-                (Some(spec), Some(state)) => Some(
-                    DynamicTopology::from_state(spec, state)
-                        .map_err(|e| ResumeError::Plan(PlanError::Motion(e.to_string())))?,
-                ),
-                (None, None) => None,
-                (Some(_), None) => return Err(ResumeError::Plan(PlanError::Motion(
-                    "configuration carries a motion spec but the checkpoint has no motion state"
-                        .into(),
-                ))),
-                (None, Some(_)) => {
-                    return Err(ResumeError::Plan(PlanError::Motion(
-                        "checkpoint carries motion state but the configuration has no motion spec"
-                            .into(),
-                    )))
-                }
-            };
-        let levels = checkpoint.sim.states().to_vec();
-        let mut sim = Self::build_sim(checkpoint.sim.graph().clone(), algo, &config, levels);
-        sim.restore(&checkpoint.sim)?;
-        Ok(ResumableRun {
-            sim,
-            algo: algo.clone(),
-            fault_rng: checkpoint.fault_rng.clone(),
-            motion,
-            trace: checkpoint.trace.clone(),
-            detector: StabilityTracker::new(),
-            after_step: None,
-            last_event_round: Self::last_event_round(&config),
-            applied_through: checkpoint.applied_through,
-            status: RunStatus::Running,
-            crash_before_round: None,
-            config,
-        })
-    }
-
-    fn validate_plans(config: &ResumableConfig, algo: &A, n: usize) -> Result<(), PlanError> {
-        config.faults.validate(n)?;
-        config.churn.validate(n)?;
-        config.byzantine.validate(n, algo.channels())?;
-        Ok(())
-    }
-
-    fn build_sim(
-        graph: Graph,
-        algo: &A,
-        config: &ResumableConfig,
-        levels: Vec<Level>,
-    ) -> Simulator<'static, A> {
-        let mut sim = Simulator::new_owned(graph, algo.clone(), levels, config.seed)
+        fault_rng: Pcg64Mcg,
+        motion: Option<DynamicTopology>,
+        trace: Trace,
+        applied_through: Option<u64>,
+    ) -> ResumableRun<'g, A> {
+        let mut sim = sim
             .with_channel(config.channel.clone())
             .with_engine(config.engine)
             .with_telemetry(config.telemetry.clone());
         if !config.byzantine.is_empty() {
             sim = sim.with_byzantine(config.byzantine.clone());
+        } else if cfg!(debug_assertions) {
+            // Byzantine nodes break the paper's invariants by design.
+            let checker = InvariantChecker::for_algorithm(sim.protocol());
+            sim.set_invariant_hook(move |g, round, states| checker.check_round(g, round, states));
         }
-        sim
-    }
-
-    fn last_event_round(config: &ResumableConfig) -> u64 {
-        config
+        let last_event_round = config
             .faults
             .last_fault_round()
             .unwrap_or(0)
-            .max(config.churn.last_event_round().unwrap_or(0))
+            .max(config.churn.last_event_round().unwrap_or(0));
+        ResumableRun {
+            sim,
+            config,
+            fault_rng,
+            motion,
+            trace,
+            detector: StabilityTracker::new(),
+            after_step: None,
+            last_event_round,
+            applied_through,
+            status: RunStatus::Running,
+            crash_before_round: None,
+        }
     }
 
     /// Executes one round boundary: applies any events scheduled at the
@@ -476,6 +469,11 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
     /// Returns the status *after* this tick; once it leaves
     /// [`RunStatus::Running`], further ticks are no-ops.
     pub fn tick(&mut self) -> RunStatus {
+        self.tick_with(&mut ())
+    }
+
+    /// [`ResumableRun::tick`], reporting the round to `rec`.
+    pub(crate) fn tick_with<R: Recorder>(&mut self, rec: &mut R) -> RunStatus {
         if self.status != RunStatus::Running {
             return self.status;
         }
@@ -483,88 +481,97 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
         let tele = self.config.telemetry.clone();
         let mut observed = self.after_step.take();
         if self.applied_through != Some(r) {
-            if self.motion.is_some()
-                || self.config.faults.events_after_round(r).next().is_some()
+            if self.config.faults.events_after_round(r).next().is_some()
                 || self.config.churn.events_after_round(r).next().is_some()
             {
+                if R::EVERY_ROUND {
+                    let before = observed.unwrap_or_else(|| self.stability());
+                    rec.before_events(r, before);
+                }
+                observed = None;
+            }
+            if self.motion.is_some() {
                 observed = None;
             }
             for fault in self.config.faults.events_after_round(r) {
-                let corrupted =
-                    corrupt_targets(&mut self.sim, &self.algo, &fault.target, &mut self.fault_rng);
-                if tele.is_enabled() {
-                    tele.record(Event::Marker(Marker {
-                        round: r,
-                        kind: MarkerKind::Fault,
-                        detail: "corrupt".into(),
-                        magnitude: corrupted as u64,
-                    }));
-                }
+                let corrupted = corrupt_targets(&mut self.sim, &fault.target, &mut self.fault_rng);
+                marker(&tele, r, MarkerKind::Fault, "corrupt", corrupted as u64);
+                rec.event(r, Disturbance::TransientFault { corrupted });
             }
-            let churn_actions: Vec<ChurnAction> =
-                self.config.churn.events_after_round(r).map(|e| e.action.clone()).collect();
-            for action in churn_actions {
-                apply_churn(&mut self.sim, &self.algo, &action, &mut self.fault_rng);
-                if tele.is_enabled() {
-                    tele.record(Event::Marker(Marker {
-                        round: r,
-                        kind: MarkerKind::Churn,
-                        detail: "churn".into(),
-                        magnitude: 1,
-                    }));
-                }
+            for event in self.config.churn.events_after_round(r) {
+                apply_churn(&mut self.sim, &event.action, &mut self.fault_rng);
+                marker(&tele, r, MarkerKind::Churn, "churn", 1);
+                rec.event(r, Disturbance::Churn(event.action.clone()));
             }
             if let Some(dt) = &mut self.motion {
                 let (added, removed) = dt.advance(&mut self.sim);
-                if tele.is_enabled() && added + removed > 0 {
-                    tele.record(Event::Marker(Marker {
-                        round: r,
-                        kind: MarkerKind::Motion,
-                        detail: "reconcile".into(),
-                        magnitude: (added + removed) as u64,
-                    }));
+                if added + removed > 0 {
+                    marker(&tele, r, MarkerKind::Motion, "reconcile", (added + removed) as u64);
                 }
             }
             self.applied_through = Some(r);
         }
-        if r >= self.last_event_round
-            && observed
-                .unwrap_or_else(|| self.detector.observe(&self.algo, &self.sim))
-                .is_stabilized()
-        {
-            self.status = RunStatus::Stabilized;
-            return self.finish(true);
+        if R::EVERY_ROUND || r >= self.last_event_round {
+            let stability = observed.unwrap_or_else(|| self.stability());
+            let exhausted = rec.observed(r, stability);
+            if r >= self.last_event_round && stability.is_stabilized() {
+                return self.finish(RunStatus::Stabilized);
+            }
+            if exhausted {
+                return self.finish(RunStatus::BudgetExhausted);
+            }
         }
         if r >= self.config.max_rounds {
-            self.status = RunStatus::BudgetExhausted;
-            return self.finish(false);
+            return self.finish(RunStatus::BudgetExhausted);
         }
         if self.crash_before_round == Some(r + 1) {
             panic!("crash injection: killed before round {}", r + 1);
         }
         let report = self.sim.step();
         if tele.is_enabled() {
-            let stability = self.detector.observe(&self.algo, &self.sim);
-            emit_round(&tele, &self.sim, &report, stability);
+            let stability = self.stability();
+            emit_round_event(
+                &tele,
+                &report,
+                self.sim.active_count() as u64,
+                self.sim.graph().len() as u64,
+                stability.in_mis as u64,
+                stability.stable as u64,
+                self.sim.states(),
+            );
             self.after_step = Some(stability);
         }
         self.trace.push(report);
+        rec.stepped(&self.sim);
         self.status
     }
 
-    fn finish(&mut self, stabilized: bool) -> RunStatus {
+    fn finish(&mut self, status: RunStatus) -> RunStatus {
+        self.status = status;
         let tele = &self.config.telemetry;
         if tele.is_enabled() {
-            let rounds = self.sim.round();
             tele.record(Event::RunEnd {
-                rounds,
-                stabilized,
-                stabilization_round: stabilized
-                    .then(|| rounds.saturating_sub(self.last_event_round)),
+                rounds: self.sim.round(),
+                stabilized: status == RunStatus::Stabilized,
+                stabilization_round: self.stabilization_round(),
             });
             tele.finish();
         }
-        self.status
+        status
+    }
+
+    /// Schedules a fault on `target` at the current round boundary of a
+    /// finished run with no other events at this boundary, and reopens it
+    /// with `budget` more rounds. Stabilization is then counted from this
+    /// boundary: the second phase of [`crate::runner::run_recovery`], whose
+    /// fault round is known only once the first phase has stabilized.
+    pub(crate) fn fault_now(&mut self, target: FaultTarget, budget: u64) {
+        let r = self.sim.round();
+        self.config.faults.push(TransientFault::new(r, target));
+        self.config.max_rounds = r.saturating_add(budget);
+        self.last_event_round = r;
+        self.applied_through = None;
+        self.status = RunStatus::Running;
     }
 
     /// Ticks until the run leaves [`RunStatus::Running`].
@@ -589,17 +596,37 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
         if self.status == RunStatus::Running {
             return None;
         }
-        let stabilized = self.status == RunStatus::Stabilized;
         Some(ResumableOutcome {
-            stabilized,
+            stabilized: self.status == RunStatus::Stabilized,
             rounds_run: self.sim.round(),
-            stabilization_round: stabilized
-                .then(|| self.sim.round().saturating_sub(self.last_event_round)),
+            stabilization_round: self.stabilization_round(),
             levels: self.sim.states().to_vec(),
-            mis: claimed_mis(&self.algo, self.sim.graph(), self.sim.states(), self.sim.active()),
+            mis: claimed_mis(
+                self.sim.protocol(),
+                self.sim.graph(),
+                self.sim.states(),
+                self.sim.active(),
+            ),
             active: self.sim.active().to_vec(),
             trace: self.trace.clone(),
         })
+    }
+
+    /// Fault-free rounds from the last scheduled event to stabilization
+    /// (the paper's measure); `None` unless the run stabilized.
+    pub(crate) fn stabilization_round(&self) -> Option<u64> {
+        (self.status == RunStatus::Stabilized)
+            .then(|| self.sim.round().saturating_sub(self.last_event_round))
+    }
+
+    /// The stability observables of the current configuration.
+    pub(crate) fn stability(&mut self) -> Stability {
+        self.detector.observe(self.sim.protocol(), &self.sim)
+    }
+
+    /// The per-round trace, without copying it.
+    pub(crate) fn into_trace(self) -> Trace {
+        self.trace
     }
 
     /// Current status without ticking.
@@ -647,7 +674,60 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
     }
 }
 
-impl<A: SelfStabilizingMis> std::fmt::Debug for ResumableRun<A> {
+impl<A: SelfStabilizingMis> ResumableRun<'static, A> {
+    /// Rebuilds a run at the exact point `checkpoint` was captured. The
+    /// caller supplies the same `algo` and `config` the original run used
+    /// (the harness snapshot layer enforces this with a fingerprint);
+    /// continuing is then bit-identical to never having stopped. The run
+    /// owns its copy of the checkpointed graph.
+    ///
+    /// # Errors
+    ///
+    /// [`ResumeError::Plan`] if the configuration is invalid for the
+    /// checkpointed graph, [`ResumeError::Restore`] if the checkpoint's own
+    /// vectors are inconsistent (a corrupted or hand-built snapshot).
+    pub fn resume(
+        algo: &A,
+        config: ResumableConfig,
+        checkpoint: &RunCheckpoint,
+    ) -> Result<ResumableRun<'static, A>, ResumeError> {
+        let n = checkpoint.sim.graph().len();
+        validate_plans(&config, algo, n)?;
+        let motion =
+            match (&config.motion, &checkpoint.motion) {
+                (Some(spec), Some(state)) => Some(
+                    DynamicTopology::from_state(spec, state)
+                        .map_err(|e| ResumeError::Plan(PlanError::Motion(e.to_string())))?,
+                ),
+                (None, None) => None,
+                (Some(_), None) => return Err(ResumeError::Plan(PlanError::Motion(
+                    "configuration carries a motion spec but the checkpoint has no motion state"
+                        .into(),
+                ))),
+                (None, Some(_)) => {
+                    return Err(ResumeError::Plan(PlanError::Motion(
+                        "checkpoint carries motion state but the configuration has no motion spec"
+                            .into(),
+                    )))
+                }
+            };
+        let levels = checkpoint.sim.states().to_vec();
+        let sim =
+            Simulator::new_owned(checkpoint.sim.graph().clone(), algo.clone(), levels, config.seed);
+        let mut run = ResumableRun::assemble(
+            sim,
+            config,
+            checkpoint.fault_rng.clone(),
+            motion,
+            checkpoint.trace.clone(),
+            checkpoint.applied_through,
+        );
+        run.sim.restore(&checkpoint.sim)?;
+        Ok(run)
+    }
+}
+
+impl<A: SelfStabilizingMis> std::fmt::Debug for ResumableRun<'_, A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResumableRun")
             .field("round", &self.sim.round())
@@ -655,6 +735,64 @@ impl<A: SelfStabilizingMis> std::fmt::Debug for ResumableRun<A> {
             .field("applied_through", &self.applied_through)
             .field("last_event_round", &self.last_event_round)
             .finish_non_exhaustive()
+    }
+}
+
+fn validate_plans<A: SelfStabilizingMis>(
+    config: &ResumableConfig,
+    algo: &A,
+    n: usize,
+) -> Result<(), PlanError> {
+    config.faults.validate(n)?;
+    config.churn.validate(n)?;
+    config.byzantine.validate(n, algo.channels())?;
+    Ok(())
+}
+
+/// Records a fault/churn/motion marker when `tele` is enabled.
+fn marker(tele: &Telemetry, round: u64, kind: MarkerKind, detail: &str, magnitude: u64) {
+    if tele.is_enabled() {
+        tele.record(Event::Marker(Marker { round, kind, detail: detail.into(), magnitude }));
+    }
+}
+
+/// Resolves `target` and overwrites each victim's level with a uniform draw
+/// over its full state space. Returns the number of corrupted nodes.
+fn corrupt_targets<A: SelfStabilizingMis>(
+    sim: &mut Simulator<'_, A>,
+    target: &FaultTarget,
+    fault_rng: &mut Pcg64Mcg,
+) -> usize {
+    let victims = target.select(sim.graph().len(), fault_rng);
+    for &v in &victims {
+        let level = random_level(sim.protocol(), v, fault_rng);
+        sim.corrupt_state(v, level);
+    }
+    victims.len()
+}
+
+/// Applies one churn action to the simulator. A joining node boots with an
+/// adversarially random level drawn from the fault stream.
+///
+/// The plan is validated against the graph when the run is built, so
+/// application is infallible here; a failure means the simulator and the
+/// validator disagree, which is a bug worth a loud stop.
+fn apply_churn<A: SelfStabilizingMis>(
+    sim: &mut Simulator<'_, A>,
+    action: &ChurnAction,
+    fault_rng: &mut Pcg64Mcg,
+) {
+    let applied = match action {
+        ChurnAction::AddEdge(u, v) => sim.insert_edge(*u, *v).map(|_| ()),
+        ChurnAction::RemoveEdge(u, v) => sim.remove_edge(*u, *v).map(|_| ()),
+        ChurnAction::NodeLeave(v) => sim.node_leave(*v).map(|_| ()),
+        ChurnAction::NodeJoin(v, neighbors) => {
+            let boot = random_level(sim.protocol(), *v, fault_rng);
+            sim.node_join(*v, neighbors, boot)
+        }
+    };
+    if let Err(e) = applied {
+        panic!("validated churn plan failed to apply: {e}");
     }
 }
 
@@ -737,6 +875,23 @@ mod tests {
                 "kill at {interrupt_after}"
             );
         }
+    }
+
+    #[test]
+    fn new_borrows_the_graph_until_the_first_churn_event() {
+        let g = random::gnp(30, 0.15, 9);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let churn = ChurnPlan::new().with_event(5, ChurnAction::NodeLeave(3));
+        let mut run =
+            ResumableRun::new(&g, &algo, ResumableConfig::new(9).with_churn(churn)).unwrap();
+        for _ in 0..5 {
+            assert!(std::ptr::eq(run.graph(), &g), "round {}", run.round());
+            assert_eq!(run.tick(), RunStatus::Running);
+        }
+        assert!(std::ptr::eq(run.graph(), &g));
+        run.tick(); // applies the churn event scheduled after round 5
+        assert!(!std::ptr::eq(run.graph(), &g));
+        assert!(!run.active()[3]);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! one), count fault-free rounds until the stable set covers the graph
 //! (`S_t = V`), at which point the configuration is a fixpoint and `I_t` is
 //! an MIS.
+//!
+//! [`run`] and [`run_recovery`] are drivers of the one round loop,
+//! [`crate::resumable::ResumableRun`]; this module adds the level history
+//! and the two-phase recovery measurement on top of it.
 
 use beeping::faults::{FaultPlan, FaultTarget};
 use beeping::rng::aux_rng;
@@ -13,18 +17,14 @@ use beeping::{BeepingProtocol, EngineMode, Simulator};
 use graphs::Graph;
 use rand::Rng;
 use rand_pcg::Pcg64Mcg;
-use telemetry::{Event, Marker, MarkerKind, RoundEvent, Telemetry};
+use telemetry::{Event, RoundEvent, Telemetry};
 
 use crate::algorithm1::Algorithm1;
 use crate::algorithm2::Algorithm2;
-use crate::detector::{Stability, StabilityTracker};
 use crate::levels::{self, clamp_level, clamp_level_two_channel, state_space_bounds, Level};
 use crate::policy::LmaxPolicy;
-
-/// Purpose tag of the fault-injection RNG stream (see
-/// [`beeping::rng::aux_rng`]); shared with [`crate::recovery`] so the
-/// zero-noise path reproduces this module's corruptions exactly.
-pub(crate) const FAULT_RNG_PURPOSE: u64 = 0xFA17;
+use crate::recovery::Disturbance;
+use crate::resumable::{Recorder, ResumableConfig, ResumableRun, RunStatus};
 
 /// Purpose tag of the initial-configuration RNG stream.
 pub(crate) const INIT_RNG_PURPOSE: u64 = 0xC0FF_EE00;
@@ -50,33 +50,6 @@ pub enum InitialLevels {
     AllOne,
     /// Explicit raw values, clamped into each node's state space.
     Custom(Vec<i64>),
-}
-
-impl InitialLevels {
-    fn sample(
-        &self,
-        policy: &LmaxPolicy,
-        clamp: impl Fn(i64, Level) -> Level,
-        claim: impl Fn(Level) -> Level,
-        rng: &mut Pcg64Mcg,
-        low_is_claim: bool,
-    ) -> Vec<Level> {
-        policy
-            .lmax_values()
-            .iter()
-            .enumerate()
-            .map(|(v, &lmax)| match self {
-                InitialLevels::Random => {
-                    let (low, high) = state_space_bounds(lmax, low_is_claim);
-                    clamp(rng.gen_range(low..=high), lmax)
-                }
-                InitialLevels::AllMax => lmax,
-                InitialLevels::AllClaiming => claim(lmax),
-                InitialLevels::AllOne => 1,
-                InitialLevels::Custom(values) => clamp(values[v], lmax),
-            })
-            .collect()
-    }
 }
 
 /// Configuration of a stabilization run.
@@ -287,13 +260,25 @@ impl SelfStabilizingMis for Algorithm2 {
 /// Samples the initial configuration for `algo` under `config`.
 pub fn initial_levels<A: SelfStabilizingMis>(algo: &A, config: &RunConfig) -> Vec<Level> {
     let mut rng = aux_rng(config.seed, INIT_RNG_PURPOSE);
-    config.init.sample(
-        algo.policy(),
-        |raw, lmax| algo.clamp_raw(raw, lmax),
-        |lmax| algo.claiming_level(lmax),
-        &mut rng,
-        algo.has_negative_levels(),
-    )
+    let lmax = algo.policy().lmax_values();
+    (0..lmax.len())
+        .map(|v| match &config.init {
+            InitialLevels::Random => random_level(algo, v, &mut rng),
+            InitialLevels::AllMax => lmax[v],
+            InitialLevels::AllClaiming => algo.claiming_level(lmax[v]),
+            InitialLevels::AllOne => 1,
+            InitialLevels::Custom(values) => algo.clamp_raw(values[v], lmax[v]),
+        })
+        .collect()
+}
+
+/// A uniform draw over node `v`'s full state space — "arbitrary RAM
+/// contents" for an initial configuration, a corruption or an adversarial
+/// fresh boot.
+pub(crate) fn random_level<A: SelfStabilizingMis>(algo: &A, v: usize, rng: &mut Pcg64Mcg) -> Level {
+    let lmax = algo.policy().lmax(v);
+    let (low, high) = state_space_bounds(lmax, algo.has_negative_levels());
+    algo.clamp_raw(rng.gen_range(low..=high), lmax)
 }
 
 /// Runs `algo` on `graph` until stabilization, honoring the fault schedule.
@@ -313,106 +298,43 @@ pub fn run<A: SelfStabilizingMis>(
     algo: &A,
     config: RunConfig,
 ) -> Result<Outcome, StabilizationError> {
-    if let Err(e) = config.faults.validate(graph.len()) {
-        panic!("invalid fault plan: {e}");
-    }
-    let levels = initial_levels(algo, &config);
-    let tele = config.telemetry.clone();
-    let mut sim = Simulator::new(graph, algo.clone(), levels, config.seed)
-        .with_engine(config.engine)
-        .with_telemetry(tele.clone());
-    if cfg!(debug_assertions) {
-        let checker = crate::invariant::InvariantChecker::for_algorithm(algo);
-        sim.set_invariant_hook(move |g, round, states| checker.check_round(g, round, states));
-    }
-    let mut fault_rng = aux_rng(config.seed, FAULT_RNG_PURPOSE);
-    let mut trace = Trace::new();
-    let mut history = config.record_levels.then(|| vec![sim.states().to_vec()]);
-    let last_fault = config.faults.last_fault_round().unwrap_or(0);
-
-    if tele.is_enabled() {
-        tele.record(Event::RunStart {
-            label: "runner".into(),
-            n: graph.len() as u64,
-            seed: config.seed,
-        });
-    }
-
-    // Apply any faults scheduled "after round 0" (i.e. corrupt the initial
-    // configuration).
-    apply_faults(&mut sim, algo, &config, 0, &mut fault_rng);
-
-    let mut tracker = StabilityTracker::new();
-    let mut stabilized_at: Option<u64> = None;
-    if sim.round() >= last_fault && tracker.observe(algo, &sim).is_stabilized() {
-        stabilized_at = Some(0);
-    }
-    while stabilized_at.is_none() && sim.round() < config.max_rounds {
-        let report = sim.step();
-        // The round event's observation doubles as the stop check's when no
-        // fault lands between them.
-        let mut observed = None;
-        if tele.is_enabled() {
-            let stability = tracker.observe(algo, &sim);
-            emit_round(&tele, &sim, &report, stability);
-            observed = Some(stability);
-        }
-        trace.push(report);
-        if let Some(h) = &mut history {
-            h.push(sim.states().to_vec());
-        }
-        let round = sim.round();
-        if config.faults.events_after_round(round).next().is_some() {
-            apply_faults(&mut sim, algo, &config, round, &mut fault_rng);
-            observed = None;
-        }
-        if sim.round() >= last_fault
-            && observed.unwrap_or_else(|| tracker.observe(algo, &sim)).is_stabilized()
-        {
-            stabilized_at = Some(sim.round());
-        }
-    }
-    if tele.is_enabled() {
-        tele.record(Event::RunEnd {
-            rounds: sim.round(),
-            stabilized: stabilized_at.is_some(),
-            stabilization_round: stabilized_at.map(|round| round.saturating_sub(last_fault)),
-        });
-        tele.finish();
-    }
-    match stabilized_at {
-        Some(round) => Ok(Outcome {
-            mis: algo.mis_of(graph, sim.states()),
-            levels: sim.states().to_vec(),
-            stabilization_round: round.saturating_sub(last_fault),
-            rounds_run: sim.round(),
-            trace,
-            level_history: history,
-        }),
-        None => Err(StabilizationError {
-            max_rounds: config.max_rounds,
-            stable_count: tracker.observe(algo, &sim).stable,
-            n: graph.len(),
-        }),
-    }
+    let RunConfig { seed, max_rounds, init, faults, record_levels, engine, telemetry } = config;
+    let resumable = ResumableConfig::new(seed)
+        .with_max_rounds(max_rounds)
+        .with_init(init)
+        .with_faults(faults)
+        .with_engine(engine)
+        .with_telemetry(telemetry);
+    let mut run = ResumableRun::with_label(graph, algo, resumable, "runner")
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut history = record_levels.then(|| vec![run.levels().to_vec()]);
+    while run.tick_with(&mut history) == RunStatus::Running {}
+    let Some(stabilization_round) = run.stabilization_round() else {
+        return Err(budget_error(&mut run, max_rounds));
+    };
+    Ok(Outcome {
+        mis: algo.mis_of(graph, run.levels()),
+        levels: run.levels().to_vec(),
+        stabilization_round,
+        rounds_run: run.round(),
+        trace: run.into_trace(),
+        level_history: history,
+    })
 }
 
-fn apply_faults<A: SelfStabilizingMis>(
-    sim: &mut Simulator<'_, A>,
-    algo: &A,
-    config: &RunConfig,
-    round: u64,
-    fault_rng: &mut Pcg64Mcg,
-) {
-    for event in config.faults.events_after_round(round) {
-        let corrupted = corrupt_targets(sim, algo, &event.target, fault_rng);
-        if config.telemetry.is_enabled() {
-            config.telemetry.record(Event::Marker(Marker {
-                round,
-                kind: MarkerKind::Fault,
-                detail: "corrupt".into(),
-                magnitude: corrupted as u64,
-            }));
+fn budget_error<A: SelfStabilizingMis>(
+    run: &mut ResumableRun<'_, A>,
+    max_rounds: u64,
+) -> StabilizationError {
+    StabilizationError { max_rounds, stable_count: run.stability().stable, n: run.graph().len() }
+}
+
+/// The level history of [`RunConfig::record_levels`]: one snapshot per
+/// executed round.
+impl Recorder for Option<Vec<Vec<Level>>> {
+    fn stepped<A: SelfStabilizingMis>(&mut self, sim: &Simulator<'_, A>) {
+        if let Some(history) = self {
+            history.push(sim.states().to_vec());
         }
     }
 }
@@ -429,8 +351,8 @@ pub(crate) fn level_histogram(levels: &[Level]) -> Vec<(i64, u64)> {
 
 /// Builds and records one [`RoundEvent`] from a [`RoundReport`] plus
 /// already-computed MIS observables, and accumulates the `trace.*` counter
-/// totals mirroring [`Trace`]'s aggregates. Shared by [`run`],
-/// [`crate::recovery::run_noisy`] and [`crate::containment::run_contained`].
+/// totals mirroring [`Trace`]'s aggregates. Shared by the round loop of
+/// [`crate::resumable`] and [`crate::containment::run_contained`].
 pub(crate) fn emit_round_event(
     tele: &Telemetry,
     report: &RoundReport,
@@ -461,74 +383,6 @@ pub(crate) fn emit_round_event(
     tele.counter_add("trace.hearers_c2", report.hearers_channel2 as u64);
     tele.counter_add("trace.lone_c1", report.lone_beepers as u64);
     tele.counter_add("trace.lone_c2", report.lone_beepers_channel2 as u64);
-}
-
-/// Emits the per-round telemetry event of [`run`],
-/// [`crate::recovery::run_noisy`] and [`crate::resumable::ResumableRun`]:
-/// the [`RoundReport`] counters plus the claimed-MIS and stable-set sizes
-/// of a [`crate::detector::StabilityTracker`] observation and — at the
-/// handle's sampling stride — a level histogram. Call only when `tele` is
-/// enabled.
-pub(crate) fn emit_round<A: SelfStabilizingMis>(
-    tele: &Telemetry,
-    sim: &Simulator<'_, A>,
-    report: &RoundReport,
-    stability: Stability,
-) {
-    emit_round_event(
-        tele,
-        report,
-        sim.active_count() as u64,
-        sim.graph().len() as u64,
-        stability.in_mis as u64,
-        stability.stable as u64,
-        sim.states(),
-    );
-}
-
-/// Resolves `target` and overwrites each victim's level with a uniform draw
-/// over its full state space — the shared corruption payload of [`run`],
-/// [`run_recovery`] and [`crate::recovery::run_noisy`]. Returns the number
-/// of corrupted nodes.
-pub(crate) fn corrupt_targets<A: SelfStabilizingMis>(
-    sim: &mut Simulator<'_, A>,
-    algo: &A,
-    target: &FaultTarget,
-    fault_rng: &mut Pcg64Mcg,
-) -> usize {
-    let n = sim.graph().len();
-    let victims = target.select(n, fault_rng);
-    for &v in &victims {
-        sim.corrupt_state(v, random_level(algo, v, fault_rng));
-    }
-    victims.len()
-}
-
-/// A uniform draw over node `v`'s full state space — "arbitrary RAM
-/// contents" for corruption or an adversarial fresh boot.
-pub(crate) fn random_level<A: SelfStabilizingMis>(algo: &A, v: usize, rng: &mut Pcg64Mcg) -> Level {
-    let lmax = algo.policy().lmax(v);
-    let (low, high) = state_space_bounds(lmax, algo.has_negative_levels());
-    algo.clamp_raw(rng.gen_range(low..=high), lmax)
-}
-
-/// [`run`] specialized to [`Algorithm1`] (kept as a named entry point for
-/// discoverability; `Algorithm1::run` calls this).
-pub fn run_algorithm1(
-    graph: &Graph,
-    algo: &Algorithm1,
-    config: RunConfig,
-) -> Result<Outcome, StabilizationError> {
-    run(graph, algo, config)
-}
-
-/// [`run`] specialized to [`Algorithm2`].
-pub fn run_algorithm2(
-    graph: &Graph,
-    algo: &Algorithm2,
-    config: RunConfig,
-) -> Result<Outcome, StabilizationError> {
-    run(graph, algo, config)
 }
 
 /// Outcome of a fault-recovery measurement ([`run_recovery`]).
@@ -566,39 +420,34 @@ pub fn run_recovery<A: SelfStabilizingMis>(
     if let Err(e) = target.validate(graph.len()) {
         panic!("invalid fault target: {e}");
     }
-    let mut tracker = StabilityTracker::new();
-    let budget_error =
-        |tracker: &mut StabilityTracker, sim: &Simulator<'_, A>| StabilizationError {
-            max_rounds,
-            stable_count: tracker.observe(algo, sim).stable,
-            n: graph.len(),
-        };
-
-    let config = RunConfig::new(seed).with_max_rounds(max_rounds);
-    let levels = initial_levels(algo, &config);
-    let mut sim = Simulator::new(graph, algo.clone(), levels, seed).with_engine(config.engine);
-    if cfg!(debug_assertions) {
-        let checker = crate::invariant::InvariantChecker::for_algorithm(algo);
-        sim.set_invariant_hook(move |g, round, states| checker.check_round(g, round, states));
+    let config = ResumableConfig::new(seed).with_max_rounds(max_rounds);
+    let mut run =
+        ResumableRun::with_label(graph, algo, config, "runner").unwrap_or_else(|e| panic!("{e}"));
+    if run.run_to_completion() != RunStatus::Stabilized {
+        return Err(budget_error(&mut run, max_rounds));
     }
-    let first = sim
-        .run_until(max_rounds, |s| tracker.observe(algo, s).is_stabilized())
-        .ok_or_else(|| budget_error(&mut tracker, &sim))?;
-
-    let mut fault_rng = aux_rng(seed, FAULT_RNG_PURPOSE);
-    let victims = corrupt_targets(&mut sim, algo, &target, &mut fault_rng);
-
-    let fault_round = sim.round();
-    let recovered = sim
-        .run_until(fault_round + max_rounds, |s| tracker.observe(algo, s).is_stabilized())
-        .ok_or_else(|| budget_error(&mut tracker, &sim))?;
-
+    let initial_stabilization = run.round();
+    run.fault_now(target, max_rounds);
+    let mut corrupted_nodes = 0;
+    while run.tick_with(&mut corrupted_nodes) == RunStatus::Running {}
+    let Some(recovery_rounds) = run.stabilization_round() else {
+        return Err(budget_error(&mut run, max_rounds));
+    };
     Ok(RecoveryOutcome {
-        initial_stabilization: first,
-        recovery_rounds: recovered - fault_round,
-        corrupted_nodes: victims,
-        mis: algo.mis_of(graph, sim.states()),
+        initial_stabilization,
+        recovery_rounds,
+        corrupted_nodes,
+        mis: algo.mis_of(graph, run.levels()),
     })
+}
+
+/// The corruption count of [`run_recovery`]'s single fault.
+impl Recorder for usize {
+    fn event(&mut self, _round: u64, disturbance: Disturbance) {
+        if let Disturbance::TransientFault { corrupted } = disturbance {
+            *self = corrupted;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -174,3 +174,56 @@ fn zero_round_run_streams_lifecycle_only() {
     assert!(matches!(events.last(), Some(Event::Metrics(_))));
     assert_eq!(tele.metrics().counter("trace.rounds"), 0);
 }
+
+#[test]
+fn entry_points_keep_their_labels_and_share_the_loop_forms() {
+    // Every entry point drives the same round loop: each keeps its own
+    // `RunStart` label, and the churn marker and the `RunEnd`
+    // stabilization round take the loop's forms (detail "churn", counted
+    // from the last scheduled event).
+    use beeping::churn::{ChurnAction, ChurnPlan};
+    use mis::recovery::{self, NoisyRunConfig};
+    use mis::resumable::{ResumableConfig, ResumableRun};
+    use telemetry::{Marker, MarkerKind};
+
+    let recording = || {
+        let tele = Telemetry::enabled(Config { level_stride: 8 });
+        let (sink, handle) = MemorySink::new();
+        tele.add_sink(Box::new(sink));
+        (tele, handle)
+    };
+    let label = |events: &[Event]| match events.first() {
+        Some(Event::RunStart { label, .. }) => label.clone(),
+        other => panic!("stream must open with RunStart, got {other:?}"),
+    };
+    let g = GraphFamily::Gnp { avg_degree: 6.0 }.generate(40, 0x6004);
+    let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+
+    let (tele, handle) = recording();
+    runner::run(&g, &algo, RunConfig::new(3).with_telemetry(tele)).expect("stabilizes");
+    assert_eq!(label(&handle.events()), "runner");
+
+    let (tele, handle) = recording();
+    let mut run = ResumableRun::new(&g, &algo, ResumableConfig::new(3).with_telemetry(tele))
+        .expect("valid plans");
+    run.run_to_completion();
+    assert_eq!(label(&handle.events()), "resumable");
+
+    let (tele, handle) = recording();
+    let churn = ChurnPlan::new().with_event(60, ChurnAction::NodeLeave(5));
+    let config = NoisyRunConfig::new(3).with_churn(churn).with_telemetry(tele);
+    let outcome = recovery::run_noisy(&g, &algo, &config);
+    assert!(outcome.stabilized);
+    let events = handle.events();
+    assert_eq!(label(&events), "noisy");
+    assert!(events.iter().any(|e| matches!(
+        e,
+        Event::Marker(Marker { round: 60, kind: MarkerKind::Churn, detail, magnitude: 1 })
+            if detail == "churn"
+    )));
+    let expected = Some(outcome.total_rounds - 60);
+    assert!(events.iter().any(|e| matches!(
+        e,
+        Event::RunEnd { stabilized: true, stabilization_round, .. } if *stabilization_round == expected
+    )));
+}
