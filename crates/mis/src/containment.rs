@@ -40,9 +40,8 @@ use telemetry::{Event, Marker, MarkerKind, Telemetry};
 use crate::dynamics::{round_stats, RoundStats};
 use crate::levels::Level;
 use crate::recovery::claimed_mis;
-use crate::runner::{
-    emit_round_event, initial_levels, InitialLevels, RunConfig, SelfStabilizingMis,
-};
+use crate::resumable::emit_round_event;
+use crate::runner::{initial_levels, InitialLevels, RunConfig, SelfStabilizingMis};
 
 /// BFS distance from every node to its nearest node in `byz` (multi-source
 /// BFS). Byzantine nodes are at distance `0`; nodes unreachable from every

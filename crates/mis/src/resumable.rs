@@ -34,21 +34,19 @@ use beeping::churn::{ChurnAction, ChurnPlan};
 use beeping::dynamic::{DynamicTopology, MotionSpec, MotionState};
 use beeping::faults::{FaultPlan, FaultTarget, TransientFault};
 use beeping::rng::aux_rng;
-use beeping::trace::Trace;
+use beeping::trace::{RoundReport, Trace};
 use beeping::{
     ByzantineError, Checkpoint, ChurnError, EngineMode, FaultError, RestoreError, Simulator,
 };
 use graphs::Graph;
 use rand_pcg::Pcg64Mcg;
-use telemetry::{Event, Marker, MarkerKind, Telemetry};
+use telemetry::{Event, Marker, MarkerKind, RoundEvent, Telemetry};
 
 use crate::detector::{Stability, StabilityTracker};
 use crate::invariant::InvariantChecker;
 use crate::levels::Level;
 use crate::recovery::{claimed_mis, Disturbance};
-use crate::runner::{
-    emit_round_event, initial_levels, random_level, InitialLevels, RunConfig, SelfStabilizingMis,
-};
+use crate::runner::{initial_levels, random_level, InitialLevels, RunConfig, SelfStabilizingMis};
 
 /// Purpose tag of the fault-injection RNG stream (see
 /// [`beeping::rng::aux_rng`]), shared by corruptions and churn boot levels.
@@ -754,6 +752,52 @@ fn marker(tele: &Telemetry, round: u64, kind: MarkerKind, detail: &str, magnitud
     if tele.is_enabled() {
         tele.record(Event::Marker(Marker { round, kind, detail: detail.into(), magnitude }));
     }
+}
+
+/// Sorted `(level, count)` histogram of a configuration — the telemetry
+/// stream's level snapshot format.
+fn level_histogram(levels: &[Level]) -> Vec<(i64, u64)> {
+    let mut histogram = std::collections::BTreeMap::new();
+    for &level in levels {
+        *histogram.entry(i64::from(level)).or_insert(0u64) += 1;
+    }
+    histogram.into_iter().collect()
+}
+
+/// Builds and records one [`RoundEvent`] from a [`RoundReport`] plus
+/// already-computed MIS observables, and accumulates the `trace.*` counter
+/// totals mirroring [`Trace`]'s aggregates. Shared by the round loop and
+/// [`crate::containment::run_contained`].
+pub(crate) fn emit_round_event(
+    tele: &Telemetry,
+    report: &RoundReport,
+    active: u64,
+    n: u64,
+    in_mis: u64,
+    stable: u64,
+    levels: &[Level],
+) {
+    tele.record(Event::Round(RoundEvent {
+        round: report.round,
+        beeps_channel1: report.beeps_channel1 as u64,
+        beeps_channel2: report.beeps_channel2 as u64,
+        hearers_channel1: report.hearers_channel1 as u64,
+        hearers_channel2: report.hearers_channel2 as u64,
+        lone_beepers: report.lone_beepers as u64,
+        lone_beepers_channel2: report.lone_beepers_channel2 as u64,
+        active,
+        n,
+        in_mis: Some(in_mis),
+        stable: Some(stable),
+        levels: tele.sample_levels(report.round).then(|| level_histogram(levels)),
+    }));
+    tele.counter_add("trace.rounds", 1);
+    tele.counter_add("trace.beeps_c1", report.beeps_channel1 as u64);
+    tele.counter_add("trace.beeps_c2", report.beeps_channel2 as u64);
+    tele.counter_add("trace.hearers_c1", report.hearers_channel1 as u64);
+    tele.counter_add("trace.hearers_c2", report.hearers_channel2 as u64);
+    tele.counter_add("trace.lone_c1", report.lone_beepers as u64);
+    tele.counter_add("trace.lone_c2", report.lone_beepers_channel2 as u64);
 }
 
 /// Resolves `target` and overwrites each victim's level with a uniform draw

@@ -12,12 +12,12 @@
 
 use beeping::faults::{FaultPlan, FaultTarget};
 use beeping::rng::aux_rng;
-use beeping::trace::{RoundReport, Trace};
+use beeping::trace::Trace;
 use beeping::{BeepingProtocol, EngineMode, Simulator};
 use graphs::Graph;
 use rand::Rng;
 use rand_pcg::Pcg64Mcg;
-use telemetry::{Event, RoundEvent, Telemetry};
+use telemetry::Telemetry;
 
 use crate::algorithm1::Algorithm1;
 use crate::algorithm2::Algorithm2;
@@ -337,52 +337,6 @@ impl Recorder for Option<Vec<Vec<Level>>> {
             history.push(sim.states().to_vec());
         }
     }
-}
-
-/// Sorted `(level, count)` histogram of a configuration — the telemetry
-/// stream's level snapshot format.
-pub(crate) fn level_histogram(levels: &[Level]) -> Vec<(i64, u64)> {
-    let mut histogram = std::collections::BTreeMap::new();
-    for &level in levels {
-        *histogram.entry(i64::from(level)).or_insert(0u64) += 1;
-    }
-    histogram.into_iter().collect()
-}
-
-/// Builds and records one [`RoundEvent`] from a [`RoundReport`] plus
-/// already-computed MIS observables, and accumulates the `trace.*` counter
-/// totals mirroring [`Trace`]'s aggregates. Shared by the round loop of
-/// [`crate::resumable`] and [`crate::containment::run_contained`].
-pub(crate) fn emit_round_event(
-    tele: &Telemetry,
-    report: &RoundReport,
-    active: u64,
-    n: u64,
-    in_mis: u64,
-    stable: u64,
-    levels: &[Level],
-) {
-    tele.record(Event::Round(RoundEvent {
-        round: report.round,
-        beeps_channel1: report.beeps_channel1 as u64,
-        beeps_channel2: report.beeps_channel2 as u64,
-        hearers_channel1: report.hearers_channel1 as u64,
-        hearers_channel2: report.hearers_channel2 as u64,
-        lone_beepers: report.lone_beepers as u64,
-        lone_beepers_channel2: report.lone_beepers_channel2 as u64,
-        active,
-        n,
-        in_mis: Some(in_mis),
-        stable: Some(stable),
-        levels: tele.sample_levels(report.round).then(|| level_histogram(levels)),
-    }));
-    tele.counter_add("trace.rounds", 1);
-    tele.counter_add("trace.beeps_c1", report.beeps_channel1 as u64);
-    tele.counter_add("trace.beeps_c2", report.beeps_channel2 as u64);
-    tele.counter_add("trace.hearers_c1", report.hearers_channel1 as u64);
-    tele.counter_add("trace.hearers_c2", report.hearers_channel2 as u64);
-    tele.counter_add("trace.lone_c1", report.lone_beepers as u64);
-    tele.counter_add("trace.lone_c2", report.lone_beepers_channel2 as u64);
 }
 
 /// Outcome of a fault-recovery measurement ([`run_recovery`]).
